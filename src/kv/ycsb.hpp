@@ -81,7 +81,8 @@ struct YcsbResult {
 };
 
 /// Run one (scheme, mix) cell. Throws std::invalid_argument on nonsense
-/// configurations (zero clients, keys overflowing the table, region not
+/// configurations (zero clients, zero controllers, an interleave that is
+/// not a nonzero multiple of 64 B, keys overflowing the table, region not
 /// fitting the NVM capacity).
 YcsbResult run_ycsb(const SystemConfig& cfg, Scheme scheme, const YcsbConfig& ycfg);
 

@@ -1,32 +1,19 @@
 #include "schemes/anubis.hpp"
 
 #include <cstring>
+#include <vector>
+
 #include "common/flat_map.hpp"
 
 namespace steins {
 
-AnubisMemory::AnubisMemory(const SystemConfig& cfg) : SecureMemoryBase(cfg) {
+AnubisMemory::AnubisMemory(const SystemConfig& cfg)
+    : SecureMemoryBase(cfg), tree_(cme_.mac(), mcache_.num_lines()) {
   STEINS_CHECK(cfg.counter_mode == CounterMode::kGeneral,
                "ASIT is evaluated with general counter blocks only (paper §IV)");
   shadow_base_ = geo_.aux_base();
-  std::size_t n = mcache_.num_lines();
-  tree_.emplace_back(n, 0);
-  while (n > 1) {
-    n = (n + kTreeArity - 1) / kTreeArity;
-    tree_.emplace_back(n, 0);
-  }
-  recompute_internals();
-  root_reg_ = tree_.back()[0];
-}
-
-void AnubisMemory::recompute_internals() {
-  for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
-    for (std::size_t p = 0; p < tree_[level + 1].size(); ++p) {
-      const std::size_t first = p * kTreeArity;
-      const std::size_t n = std::min(kTreeArity, tree_[level].size() - first);
-      tree_[level + 1][p] = internal_mac(&tree_[level][first], n);
-    }
-  }
+  tree_.rebuild([this](std::size_t i) { return tree_.leaf(i); });
+  root_reg_ = tree_.root();
 }
 
 std::uint64_t AnubisMemory::leaf_mac(const Block& image, std::size_t line_idx) const {
@@ -35,25 +22,6 @@ std::uint64_t AnubisMemory::leaf_mac(const Block& image, std::size_t line_idx) c
   const std::uint64_t idx = line_idx;
   std::memcpy(buf + kBlockSize, &idx, 8);
   return cme_.mac().mac64({buf, sizeof(buf)});
-}
-
-std::uint64_t AnubisMemory::internal_mac(const std::uint64_t* children, std::size_t n) const {
-  return cme_.mac().mac64({reinterpret_cast<const std::uint8_t*>(children), n * 8});
-}
-
-void AnubisMemory::update_tree_path(std::size_t line_idx, Cycle&) {
-  std::size_t idx = line_idx;
-  for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
-    const std::size_t parent = idx / kTreeArity;
-    const std::size_t first = parent * kTreeArity;
-    const std::size_t n = std::min(kTreeArity, tree_[level].size() - first);
-    tree_[level + 1][parent] = internal_mac(&tree_[level][first], n);
-    // Sequential HMACs up the cache-tree (paper §II-D): modification-path
-    // cost, charged to the write-latency side channel.
-    charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
-    idx = parent;
-  }
-  root_reg_ = tree_.back()[0];
 }
 
 void AnubisMemory::on_node_modified(NodeId id, Cycle& now) {
@@ -72,18 +40,23 @@ void AnubisMemory::on_node_modified(NodeId id, Cycle& now) {
   if (!recovering_) charge_tracking(cfg_.nvm_write_cycles());
   ++stats_.aux_writes;
 
-  tree_[0][static_cast<std::size_t>(line_idx)] =
-      leaf_mac(image, static_cast<std::size_t>(line_idx));
-  charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
-  update_tree_path(static_cast<std::size_t>(line_idx), now);
+  // The leaf MAC covers the exact image just written; the sequential HMACs
+  // up the cache-tree (paper §II-D) are modification-path cost, charged to
+  // the write-latency side channel now and computed at crash().
+  tree_.set_leaf(static_cast<std::size_t>(line_idx),
+                 leaf_mac(image, static_cast<std::size_t>(line_idx)));
+  for (std::size_t level = 0; level < tree_.depth(); ++level) {
+    charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
+  }
 }
 
 void AnubisMemory::crash() {
+  // The root register is about to be read (by recover()): bring the
+  // cache-tree path HMACs up to date first.
+  if (tree_.settle()) root_reg_ = tree_.root();
   SecureMemoryBase::crash();
   // The cache-tree body is volatile; only the root register survives.
-  for (auto& level : tree_) {
-    for (auto& m : level) m = 0;
-  }
+  tree_.clear();
 }
 
 RecoveryReport AnubisMemory::recover() {
@@ -131,10 +104,10 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
     }
     images[i] = img;
     present[i] = true;
-    tree_[0][i] = leaf_mac(img, i);
   }
-  recompute_internals();
-  if (tree_.back()[0] != root_reg_) {
+  tree_.rebuild(
+      [&](std::size_t i) { return present[i] ? leaf_mac(images[i], i) : tree_.leaf(i); });
+  if (tree_.root() != root_reg_) {
     if (!ecc_evidence) {
       result.attack_detected = true;
       result.attack_detail = "ASIT cache-tree root mismatch: shadow table corrupted";

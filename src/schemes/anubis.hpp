@@ -6,12 +6,14 @@
 // write traffic. A cache-tree (Merkle tree over the ST entries) is
 // maintained on-chip: each modification updates the leaf MAC and the tree
 // path (sequential HMACs), and the tree root lives in a non-volatile
-// register. Recovery replays the ST into the metadata cache, verifies the
-// rebuilt cache-tree root against the register, and flushes the tree clean.
+// register. The leaf MAC is computed with the shadow write; the path HMACs
+// are charged there too but computed only when the register is read (see
+// CacheTree), settling the tree at crash(). Recovery replays the ST into
+// the metadata cache, verifies the rebuilt cache-tree root against the
+// register, and flushes the tree clean.
 #pragma once
 
-#include <vector>
-
+#include "schemes/cache_tree.hpp"
 #include "secure/secure_memory.hpp"
 
 namespace steins {
@@ -24,7 +26,7 @@ class AnubisMemory final : public SecureMemoryBase {
   RecoveryResult recover() override;
 
   /// Depth (number of MAC recomputations per modification).
-  unsigned cache_tree_depth() const { return static_cast<unsigned>(tree_.size()); }
+  unsigned cache_tree_depth() const { return static_cast<unsigned>(tree_.depth()); }
 
  protected:
   Cycle persist_node(SitNode& node, Cycle now) override {
@@ -47,20 +49,12 @@ class AnubisMemory final : public SecureMemoryBase {
   }
 
   std::uint64_t leaf_mac(const Block& image, std::size_t line_idx) const;
-  std::uint64_t internal_mac(const std::uint64_t* children, std::size_t n) const;
-
-  /// Update the cache-tree path above leaf `line_idx` (charges hashes).
-  void update_tree_path(std::size_t line_idx, Cycle& now);
-
-  /// Recompute every internal cache-tree level from the current leaf MACs.
-  void recompute_internals();
 
   /// Recovery body; recover() wraps it so every exit yields a report.
   void recover_impl(RecoveryReport& result);
 
   Addr shadow_base_;
-  // tree_[0] = leaf MACs (one per cache line), tree_.back() = root (size 1).
-  std::vector<std::vector<std::uint64_t>> tree_;
+  CacheTree tree_;              // leaf MACs: one per cache line
   std::uint64_t root_reg_ = 0;  // on-chip NV register holding the tree root
 };
 

@@ -12,12 +12,15 @@
 //  * A cache-tree over the dirty nodes of each metadata-cache set: on every
 //    modification the set's dirty nodes are sorted by address and MAC'd
 //    (the set-MAC), and the tree above the set-MACs is updated; the root
-//    lives in a non-volatile register.
+//    lives in a non-volatile register. The sort and the HMACs are charged
+//    at the modification; the host computes them only when the register is
+//    read (see CacheTree), settling the tree at crash().
 #pragma once
 
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "schemes/cache_tree.hpp"
 #include "secure/secure_memory.hpp"
 
 namespace steins {
@@ -54,9 +57,9 @@ class StarMemory final : public SecureMemoryBase {
   /// bitmap line cache (may read/write NVM on a miss).
   void update_bitmap(NodeId id, bool dirty, Cycle& now);
 
-  /// Recompute the set-MAC of metadata-cache set `set` and the cache-tree
-  /// path above it.
-  void update_set_mac(std::size_t set, Cycle& now);
+  /// The dirty contents of metadata-cache set `set` changed: charge the
+  /// set-MAC and cache-tree path update, and mark them stale.
+  void update_set_mac(std::size_t set);
   std::uint64_t compute_set_mac(std::size_t set) const;
 
   /// Recompute every set-MAC and internal level from the current cache.
@@ -76,8 +79,8 @@ class StarMemory final : public SecureMemoryBase {
   /// word OR; recovery scans it in ascending line order.
   std::vector<std::uint64_t> nonzero_lines_;
 
-  // Cache-tree: set_macs_ then internal levels up to the root register.
-  std::vector<std::vector<std::uint64_t>> tree_;
+  // Cache-tree over the set-MACs; its root is copied into the register.
+  CacheTree tree_;
   std::uint64_t root_reg_ = 0;
 };
 

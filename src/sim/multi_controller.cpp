@@ -2,17 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 
 namespace steins {
 
+namespace {
+
+/// Checked in every build: the constructor divides the capacity by
+/// `controllers` and route() divides addresses by the interleave.
+std::size_t checked_interleave(unsigned controllers, std::size_t interleave_bytes) {
+  if (controllers == 0) {
+    throw std::invalid_argument("MultiControllerMemory needs >= 1 controller");
+  }
+  if (interleave_bytes == 0 || interleave_bytes % kBlockSize != 0) {
+    throw std::invalid_argument("controller interleave must be a nonzero multiple of 64 B");
+  }
+  return interleave_bytes;
+}
+
+}  // namespace
+
 MultiControllerMemory::MultiControllerMemory(const SystemConfig& cfg, Scheme scheme,
                                              unsigned controllers,
                                              std::size_t interleave_bytes)
-    : interleave_(interleave_bytes) {
-  assert(controllers >= 1);
+    : interleave_(checked_interleave(controllers, interleave_bytes)) {
   SystemConfig per_mc = cfg;
   per_mc.nvm.capacity_bytes = cfg.nvm.capacity_bytes / controllers;
   for (unsigned i = 0; i < controllers; ++i) {

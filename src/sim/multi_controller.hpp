@@ -36,6 +36,8 @@ namespace steins {
 /// via ShardLease; release builds compile the checks out.
 class MultiControllerMemory {
  public:
+  /// Throws std::invalid_argument for zero controllers or an interleave
+  /// that is zero or not a multiple of the 64 B block.
   MultiControllerMemory(const SystemConfig& cfg, Scheme scheme, unsigned controllers,
                         std::size_t interleave_bytes = 4096);
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
+#include "kv/ycsb.hpp"
 #include "sim/multi_controller.hpp"
 #include "test_util.hpp"
 
@@ -16,6 +18,28 @@ SystemConfig mc_config() {
   SystemConfig cfg = default_config();
   cfg.nvm.capacity_bytes = 1ULL << 30;
   return cfg;
+}
+
+TEST(MultiController, RejectsZeroControllersAndBadInterleave) {
+  // These used to divide by zero in release builds, where the assert on
+  // the controller count compiled out.
+  EXPECT_THROW(MultiControllerMemory(mc_config(), Scheme::kSteins, 0), std::invalid_argument);
+  EXPECT_THROW(MultiControllerMemory(mc_config(), Scheme::kSteins, 2, 0), std::invalid_argument);
+  EXPECT_THROW(MultiControllerMemory(mc_config(), Scheme::kSteins, 2, 100),
+               std::invalid_argument);
+  EXPECT_NO_THROW(MultiControllerMemory(mc_config(), Scheme::kSteins, 2, 64));
+}
+
+TEST(MultiController, YcsbReportsZeroControllersAsInvalid) {
+  kv::YcsbConfig ycfg;
+  ycfg.ops = 100;
+  ycfg.keys = 100;
+  ycfg.slots = 256;
+  ycfg.controllers = 0;
+  EXPECT_THROW(kv::run_ycsb(mc_config(), Scheme::kSteins, ycfg), std::invalid_argument);
+  ycfg.controllers = 2;
+  ycfg.interleave_bytes = 96;
+  EXPECT_THROW(kv::run_ycsb(mc_config(), Scheme::kSteins, ycfg), std::invalid_argument);
 }
 
 TEST(MultiController, RoundTripAcrossControllers) {
